@@ -6,7 +6,8 @@ in a group-blind ranking the number of protected items in a prefix of
 size ``i`` is Binomial(i, p).  The machinery:
 
 - :mod:`~repro.fairness.fair_star.mtable` — the minimum number of
-  protected items each prefix needs to pass at significance ``alpha``;
+  protected items each prefix needs to pass at significance ``alpha``,
+  and the memo of exact binomial CDF values the whole package shares;
 - :mod:`~repro.fairness.fair_star.adjustment` — the multiple-testing
   correction: the exact probability that a fair ranking fails *some*
   prefix, and the binary search for the adjusted significance;

@@ -11,9 +11,22 @@ target ``alpha``.
 probability exactly with a dynamic program over prefix states, and
 :func:`adjust_alpha` inverts it by bisection.  The A2 benchmark
 measures the realized type-I error with and without this correction.
+
+Cost.  A bisection takes ~25 steps, but the failure probability is a
+step function of the per-prefix level: it depends on the level only
+through the mtable, and one adjustment meets only about ten distinct
+mtables.  So each step builds its mtable from the shared CDF
+memo (:func:`~repro.fairness.fair_star.mtable.prefix_cdf`) and runs the
+dynamic program only for an mtable it has not seen; the result for an
+mtable is memoised (bounded, thread-safe) by its bytes and ``p``.  Both
+memos return exactly what a fresh computation returns, and the
+bisection makes the same comparisons in the same order, so
+``adjust_alpha`` returns the same float as the per-call computation.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -21,6 +34,10 @@ from repro.errors import FairnessConfigError
 from repro.fairness.fair_star.mtable import minimum_protected_table
 
 __all__ = ["fail_probability_of_mtable", "compute_fail_probability", "adjust_alpha"]
+
+# Bound on memoised dynamic-program results; one adjustment needs ~10,
+# a sweep over several k and groups a few dozen.
+_FAIL_MEMO_SIZE = 256
 
 
 def fail_probability_of_mtable(mtable: np.ndarray, p: float) -> float:
@@ -58,10 +75,15 @@ def compute_fail_probability(k: int, p: float, alpha: float) -> float:
 
     Builds the mtable for per-prefix significance ``alpha`` and runs the
     exact DP.  This is the quantity the adjustment drives down to the
-    target significance.
+    target significance.  The DP runs once per distinct ``(mtable, p)``.
     """
     mtable = minimum_protected_table(k, p, alpha)
-    return fail_probability_of_mtable(mtable, p)
+    return _memo_fail_probability(mtable.tobytes(), p)
+
+
+@functools.lru_cache(maxsize=_FAIL_MEMO_SIZE)
+def _memo_fail_probability(mtable_bytes: bytes, p: float) -> float:
+    return fail_probability_of_mtable(np.frombuffer(mtable_bytes, dtype=np.int64), p)
 
 
 def adjust_alpha(

@@ -7,16 +7,40 @@ CDF ``F(t; i, p)`` exceeds ``alpha`` — i.e. ``t`` is not in the lower
 ``m(i)`` is the smallest passing ``t`` for each ``i`` from 1 to k; a
 ranking satisfies *ranked group fairness* when every prefix count
 reaches its mtable entry.
+
+Every CDF value FA*IR needs goes through :func:`prefix_cdf`, one
+bounded, thread-safe memo of exact ``binom_cdf(t, i, p)`` values shared
+by the mtable, every bisection step of
+:func:`~repro.fairness.fair_star.adjustment.adjust_alpha` and the
+verifier's per-prefix p-values.  A bisection over the per-prefix level
+revisits the same few hundred ``(t, i)`` cells dozens of times, and a
+sweep of designs over one dataset repeats ``(i, p)``; the memo turns
+those repeats into lookups.  It stores what the unchanged scalar
+:func:`~repro.stats.distributions.binom_cdf` returned, so every
+comparison against ``alpha`` — and with it every mtable — sees the same
+floats as a fresh call would.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from repro.errors import FairnessConfigError
 from repro.stats.distributions import binom_cdf
 
-__all__ = ["required_at", "minimum_protected_table"]
+__all__ = ["prefix_cdf", "required_at", "minimum_protected_table"]
+
+# Bound on memoised CDF values (a few hundred bytes each).  One k=100
+# adjustment touches ~500 cells; least recently used ones are evicted.
+_CDF_MEMO_SIZE = 1 << 15
+
+
+@functools.lru_cache(maxsize=_CDF_MEMO_SIZE)
+def prefix_cdf(t: int, i: int, p: float) -> float:
+    """``binom_cdf(t, i, p)``, memoised: the CDF FA*IR tests prefix ``i`` on."""
+    return binom_cdf(t, i, p)
 
 
 def _validate(k: int, p: float, alpha: float) -> None:
@@ -39,7 +63,7 @@ def required_at(i: int, p: float, alpha: float) -> int:
     """
     _validate(i, p, alpha)
     for t in range(0, i + 1):
-        if binom_cdf(t, i, p) > alpha:
+        if prefix_cdf(t, i, p) > alpha:
             return t
     return i  # unreachable: cdf(i) == 1 > alpha
 
@@ -49,14 +73,15 @@ def minimum_protected_table(k: int, p: float, alpha: float) -> np.ndarray:
 
     Computed in one pass: ``m(i)`` is non-decreasing in ``i`` and grows
     by at most 1 per step, so each entry starts the CDF search where the
-    previous one ended instead of from zero.
+    previous one ended instead of from zero.  The CDF values come from
+    the shared :func:`prefix_cdf` memo.
     """
     _validate(k, p, alpha)
     table = np.zeros(k, dtype=np.int64)
     current = 0
     for i in range(1, k + 1):
         # m(i) >= m(i-1): a longer prefix never needs fewer protected items
-        while binom_cdf(current, i, p) <= alpha:
+        while prefix_cdf(current, i, p) <= alpha:
             current += 1
         table[i - 1] = current
     return table

@@ -23,8 +23,7 @@ from repro.fairness.base import (
     ProtectedGroup,
 )
 from repro.fairness.fair_star.adjustment import adjust_alpha
-from repro.fairness.fair_star.mtable import minimum_protected_table
-from repro.stats.distributions import binom_cdf
+from repro.fairness.fair_star.mtable import minimum_protected_table, prefix_cdf
 
 __all__ = ["FairStarAuditResult", "FairStarMeasure"]
 
@@ -95,7 +94,7 @@ def audit_prefixes(
         mtable = np.zeros(k, dtype=np.int64)  # adjustment degenerated: never reject
     counts = np.cumsum(arr[:k]).astype(np.int64)
     failed = tuple(int(i + 1) for i in range(k) if counts[i] < mtable[i])
-    prefix_cdfs = [binom_cdf(int(counts[i]), i + 1, p) for i in range(k)]
+    prefix_cdfs = [prefix_cdf(int(counts[i]), i + 1, p) for i in range(k)]
     worst = int(np.argmin(prefix_cdfs)) + 1
     return FairStarAuditResult(
         k=k,

@@ -52,20 +52,25 @@ def pearson_r(
 
 
 def rankdata_average(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """1-based ranks with ties broken by averaging (scipy's 'average')."""
+    """1-based ranks with ties broken by averaging (scipy's 'average').
+
+    A tie group is a run of equal values in the stable sort order; the
+    group spanning sorted positions ``i..j`` gets rank ``(i + j) / 2 + 1``
+    (exact in floating point).  NaN equals nothing, so every NaN is a
+    group of its own, ranked after all numbers in input order.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"rankdata expects a 1-d sequence, got shape {arr.shape}")
     order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts_group = np.empty(arr.size, dtype=bool)
+    starts_group[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
+    first = np.flatnonzero(starts_group)
+    last = np.append(first[1:], arr.size) - 1
     ranks = np.empty(arr.size, dtype=np.float64)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        avg_rank = (i + j) / 2.0 + 1.0
-        ranks[order[i: j + 1]] = avg_rank
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 

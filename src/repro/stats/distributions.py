@@ -9,6 +9,7 @@ cross-check all of these against scipy.
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = [
     "norm_pdf",
@@ -115,18 +116,25 @@ def norm_ppf(q: float, mean: float = 0.0, std: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _validate_binom(k: int, n: int, p: float) -> None:
+def _validate_binom(k: int, n: int, p: float) -> int:
+    """Check the arguments; return ``k`` as a plain int.
+
+    Any integral type is accepted (``operator.index``), so numpy integers
+    work; floats are rejected even when whole.
+    """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if not isinstance(k, int):
-        raise TypeError(f"k must be an int, got {type(k).__name__}")
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {type(k).__name__}") from None
 
 
 def binom_logpmf(k: int, n: int, p: float) -> float:
     """log P(X = k) for X ~ Binomial(n, p); ``-inf`` outside support."""
-    _validate_binom(k, n, p)
+    k = _validate_binom(k, n, p)
     if k < 0 or k > n:
         return float("-inf")
     if p == 0.0:
@@ -154,7 +162,7 @@ def binom_cdf(k: int, n: int, p: float) -> float:
     Direct summation of the PMF from the smaller tail; exact for the
     prefix sizes the FA*IR test uses (k up to a few thousand).
     """
-    _validate_binom(k, n, p)
+    k = _validate_binom(k, n, p)
     if k < 0:
         return 0.0
     if k >= n:
@@ -173,7 +181,7 @@ def binom_cdf(k: int, n: int, p: float) -> float:
 
 def binom_sf(k: int, n: int, p: float) -> float:
     """P(X > k): the binomial survival function."""
-    _validate_binom(k, n, p)
+    k = _validate_binom(k, n, p)
     if k < 0:
         return 1.0
     if k >= n:

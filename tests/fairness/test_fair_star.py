@@ -1,5 +1,8 @@
 """Tests for repro.fairness.fair_star (mtable, adjustment, verifier, rerank)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +130,39 @@ class TestAdjustAlpha:
     def test_validation(self):
         with pytest.raises(FairnessConfigError):
             adjust_alpha(10, 0.5, 0.0)
+
+
+class TestSharedMemoThreads:
+    def test_concurrent_adjustments_match_serial(self):
+        # the CDF and DP memos are shared by every thread building labels;
+        # more threads than cores, a short switch interval, cold memos
+        from repro.fairness.fair_star.adjustment import _memo_fail_probability
+        from repro.fairness.fair_star.mtable import prefix_cdf
+
+        cases = [(k, p) for k in (20, 40, 60) for p in (0.19, 0.5, 0.81)]
+        expected = {case: adjust_alpha(*case, 0.1) for case in cases}
+        prefix_cdf.cache_clear()
+        _memo_fail_probability.cache_clear()
+        results: dict = {}
+
+        def work(offset):
+            for case in cases[offset:] + cases[:offset]:
+                results[(offset, case)] = adjust_alpha(*case, 0.1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 6 * len(cases)
+        for (_, case), value in results.items():
+            assert repr(value) == repr(expected[case])
 
 
 class TestAuditPrefixes:

@@ -45,6 +45,60 @@ class TestRankData:
         np.testing.assert_allclose(rankdata_average(x), sps.rankdata(x))
 
 
+def loop_rankdata_average(values):
+    """The tie-group loop rankdata_average replaced, kept as its oracle."""
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(arr.size, dtype=np.float64)
+    i = 0
+    while i < arr.size:
+        j = i
+        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        avg_rank = (i + j) / 2.0 + 1.0
+        ranks[order[i: j + 1]] = avg_rank
+        i = j + 1
+    return ranks
+
+
+# few distinct values, so most draws are tie-heavy; NaN and both zeros
+# are among them
+TIE_HEAVY = st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0, float("nan"), float("inf")])
+
+
+class TestRankDataMatchesLoop:
+    @staticmethod
+    def assert_same(values):
+        expected = loop_rankdata_average(values)
+        actual = rankdata_average(values)
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected, equal_nan=True)
+
+    @given(st.lists(TIE_HEAVY, max_size=40))
+    @settings(max_examples=200)
+    def test_tie_heavy(self, values):
+        self.assert_same(values)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    @settings(max_examples=200)
+    def test_any_floats(self, values):
+        self.assert_same(values)
+
+    @given(st.lists(st.integers(-3, 3), max_size=300))
+    @settings(max_examples=50)
+    def test_long_integer_ties(self, values):
+        self.assert_same(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7.0], [float("nan")], [0.0, -0.0], [-0.0, 0.0, -0.0],
+         [float("nan")] * 3, [2.0] * 5],
+        ids=["empty", "one", "nan", "zeros", "signed-zeros", "nans", "all-tied"],
+    )
+    def test_edge_cases(self, values):
+        self.assert_same(values)
+
+
 class TestSpearman:
     def test_monotone_is_one(self):
         assert spearman_rho([1, 2, 3], [10, 100, 1000]) == pytest.approx(1.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import scipy.stats as sps
 from hypothesis import given, settings
@@ -117,8 +118,19 @@ class TestBinomial:
             binom_pmf(0, 10, 1.5)
         with pytest.raises(TypeError):
             binom_pmf(0.5, 10, 0.5)
+        with pytest.raises(TypeError):
+            binom_cdf(3.0, 10, 0.5)  # whole floats are still not counts
         with pytest.raises(ValueError):
             binom_ppf(-0.1, 10, 0.5)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8, bool, int])
+    def test_numpy_integer_counts_accepted(self, integer):
+        k = integer(1)
+        assert binom_pmf(k, 10, 0.3) == binom_pmf(1, 10, 0.3)
+        assert binom_logpmf(k, 10, 0.3) == binom_logpmf(1, 10, 0.3)
+        assert binom_cdf(k, 10, 0.3) == binom_cdf(1, 10, 0.3)
+        assert binom_sf(k, 10, 0.3) == binom_sf(1, 10, 0.3)
+        assert type(binom_cdf(k, 10, 0.3)) is float
 
     def test_ppf_zero_quantile(self):
         assert binom_ppf(0.0, 10, 0.5) == 0

@@ -1,5 +1,6 @@
 """Tests for repro.stats.tests, cross-checked against scipy/statsmodels math."""
 
+import numpy as np
 import pytest
 import scipy.stats as sps
 from hypothesis import given, settings
@@ -29,6 +30,12 @@ class TestBinomialTest:
         ours = binomial_test(49_000, 100_000, 0.5).p_value
         theirs = sps.binomtest(49_000, 100_000, 0.5).pvalue
         assert ours == pytest.approx(theirs, rel=1e-6)
+
+    @pytest.mark.parametrize("alternative", ["less", "greater", "two-sided"])
+    def test_numpy_integer_counts_accepted(self, alternative):
+        # counts often come straight out of numpy (np.cumsum, .sum())
+        ours = binomial_test(np.int64(3), 10, 0.5, alternative)
+        assert ours == binomial_test(3, 10, 0.5, alternative)
 
     def test_validation(self):
         with pytest.raises(ValueError):
