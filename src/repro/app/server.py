@@ -93,7 +93,7 @@ from urllib.parse import parse_qs
 from repro.app.session import DemoSession, SessionStage
 from repro.app.sse import SSEStream
 from repro.datasets.loaders import list_datasets
-from repro.engine.jobs import JobStatus, LabelJob
+from repro.engine.jobs import JobStatus, LabelJob, _epsilon_tuple
 from repro.engine.service import LabelService
 from repro.engine.streaming import LabelEventQueue
 from repro.errors import EngineError, RankingFactsError
@@ -388,6 +388,12 @@ def _apply_design(session: DemoSession, body: dict) -> None:
         alpha = float(body.get("alpha", 0.05))
     except (TypeError, ValueError) as exc:
         raise RankingFactsError(f'bad design value for "alpha": {exc}') from exc
+    try:
+        epsilons = _epsilon_tuple(body.get("monte_carlo_epsilons", (0.05, 0.1, 0.2)))
+    except (TypeError, ValueError) as exc:
+        raise RankingFactsError(
+            f'bad design value for "monte_carlo_epsilons": {exc}'
+        ) from exc
     session.set_normalization(bool(body.get("normalize", True)))
     session.design_scoring(
         weights=clean_weights,
@@ -400,18 +406,9 @@ def _apply_design(session: DemoSession, body: dict) -> None:
     try:
         if "seed" in body:
             session.set_seed(int(body["seed"]))
-        epsilons = body.get("monte_carlo_epsilons", (0.05, 0.1, 0.2))
-        if isinstance(epsilons, (str, bytes)) or not isinstance(
-            epsilons, (list, tuple)
-        ):
-            raise RankingFactsError(
-                '"monte_carlo_epsilons" must be a list of numbers'
-            )
         # always applied, so a redesign without the field (or with 0) turns
         # the expensive Monte-Carlo detail off — consistent with k/alpha
-        session.set_monte_carlo(
-            int(body.get("monte_carlo_trials", 0)), tuple(epsilons)
-        )
+        session.set_monte_carlo(int(body.get("monte_carlo_trials", 0)), epsilons)
     except (TypeError, ValueError) as exc:
         raise RankingFactsError(f"bad Monte-Carlo design value: {exc}") from exc
 

@@ -32,9 +32,10 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.datasets.loaders import dataset_by_name, load_csv_dataset
-from repro.errors import EngineError
+from repro.errors import EngineError, StabilityError
 from repro.preprocess.pipeline import NormalizationPlan
 from repro.ranking.scoring import LinearScoringFunction
+from repro.stability.montecarlo import checked_epsilon
 from repro.tabular.table import Table
 
 if TYPE_CHECKING:  # avoid an import cycle at runtime
@@ -46,7 +47,10 @@ __all__ = ["LabelDesign", "LabelJob", "JobStatus", "JobResult"]
 def _epsilon_tuple(value: object) -> tuple[float, ...]:
     if isinstance(value, (str, bytes)) or not isinstance(value, Sequence):
         raise TypeError("expected a list of numbers")
-    return tuple(float(e) for e in value)
+    try:
+        return tuple(checked_epsilon(e) for e in value)
+    except StabilityError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import LabelError
+from repro.errors import LabelError, StabilityError
 from repro.diversity.measures import diversity_report
 from repro.fairness.base import evaluate_fairness
 from repro.ingredients.importance import ingredients as ingredients_analysis
@@ -34,6 +34,7 @@ from repro.preprocess.pipeline import NormalizationPlan, TablePreprocessor
 from repro.ranking.ranker import Ranking, rank_table
 from repro.ranking.scoring import LinearScoringFunction
 from repro.stability.gaps import score_gap_analysis
+from repro.stability.montecarlo import checked_epsilon
 from repro.stability.per_attribute import per_attribute_stability
 from repro.stability.perturbation import WeightPerturbationStability
 from repro.stability.slope import SlopeStability
@@ -189,8 +190,12 @@ class RankingFactsBuilder:
             raise LabelError(f"trials must be >= 1, got {trials}")
         if not epsilons:
             raise LabelError("need at least one epsilon")
+        try:
+            clean = tuple(checked_epsilon(e) for e in epsilons)
+        except StabilityError as exc:
+            raise LabelError(str(exc)) from exc
         self._monte_carlo_trials = trials
-        self._monte_carlo_epsilons = tuple(float(e) for e in epsilons)
+        self._monte_carlo_epsilons = clean
         return self
 
     def with_seed(self, seed: int) -> "RankingFactsBuilder":

@@ -17,11 +17,16 @@ kernels apply the same discipline to the stability widget's hot loop:
   scorer's declaration order** — the identical sequence of IEEE
   operations :meth:`LinearScoringFunction.score_table` performs, so
   every score is byte-identical to the scalar path's;
-- all trials are stable-argsorted at once, and the movement metrics are
-  computed on integer permutation arrays — Kendall tau via merge-sort
-  inversion counting (:func:`repro.ranking.compare
-  .count_inversions_batch`), top-k overlap via position prefixes.  No
-  ``Table`` is constructed and no dict is consulted inside the loop.
+- each kernel materialises only what its answer needs.  Perturbation
+  and data uncertainty report Kendall tau, which needs every trial's
+  full order: all trials are stable-argsorted at once and the movement
+  metrics are computed on integer permutation arrays — Kendall tau via
+  merge-sort inversion counting (:func:`repro.ranking.compare
+  .count_inversions_batch`), top-k overlap via position prefixes.  The
+  per-attribute kernel only asks whether the top-k *set* changed, so it
+  sorts nothing: one min and one max per trial decide membership
+  (:func:`run_attribute_kernel`).  No ``Table`` is constructed and no
+  dict is consulted inside the loop.
 
 **Byte-identity contract.**  For every payload a kernel accepts, its
 result list is byte-identical to running the matching scalar trial
@@ -29,7 +34,8 @@ function over ``range(trials)``.  Anything a kernel cannot reproduce
 exactly — a scorer that is not a plain
 :class:`~repro.ranking.scoring.LinearScoringFunction` (a subclass may
 override ``score_table``), duplicate item ids, a payload whose baseline
-disagrees with its table — is **declined**, and
+disagrees with its table, a trial the scalar path refuses to rank — is
+**declined**, and
 :func:`dispatch_kernel` reports the reason so the caller (the
 ``vectorized`` :class:`~repro.engine.backends.VectorizedTrialBackend`)
 can fall back to the scalar path and surface the reason in
@@ -334,11 +340,113 @@ def run_uncertainty_kernel(
 # -- per-attribute stability ---------------------------------------------------
 
 
+def _jittered_scores(
+    columns: list[np.ndarray],
+    position: int,
+    weights: list[float],
+    varied: np.ndarray,
+) -> np.ndarray:
+    """The ``(T x n)`` score matrix when only column ``position``'s
+    weight varies by trial (``varied[t]``).
+
+    Row ``t`` holds trial ``t``'s scores.  Every element still sees the
+    ``((0 + w1*x1) + w2*x2) + ...`` sequence of ``score_table``: the
+    terms before ``position`` do not vary by trial, so their partial sum
+    is one n-vector computed once; each term after it is one constant
+    n-vector added by broadcast.  Same operands, same order, same
+    floats as accumulating every trial separately.
+    """
+    prefix = np.zeros(columns[0].shape[0], dtype=np.float64)
+    for values, weight in zip(columns[:position], weights[:position]):
+        prefix += values * weight
+    # x*w + prefix is prefix + x*w: IEEE addition is commutative
+    scores = varied[:, None] * columns[position][None, :]
+    scores += prefix[None, :]
+    for values, weight in zip(columns[position + 1:], weights[position + 1:]):
+        scores += (values * weight)[None, :]
+    return scores
+
+
+def _require_nan_suffix(scores: np.ndarray, rows: np.ndarray) -> None:
+    """Decline trials whose ranking the scalar path refuses to build.
+
+    NaN and -inf scores share the last key, so the stable order puts a
+    NaN row before a -inf row whenever its row index is smaller — and
+    :class:`~repro.ranking.ranker.Ranking` rejects NaNs that are not a
+    suffix.  ``rows[j]`` is the table row behind score column ``j``.
+    """
+    if np.isfinite(scores).all():
+        return
+    n = scores.shape[1]
+    first_nan = np.where(np.isnan(scores), rows[None, :], n).min(axis=1)
+    last_low = np.where(scores == -np.inf, rows[None, :], -1).max(axis=1)
+    _require(
+        not np.any(first_nan < last_low),
+        "a trial ranks a NaN score above a -inf score",
+    )
+
+
+def _nan_lowest(scores: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(scores), -np.inf, scores)
+
+
+def _top_unchanged(scores: np.ndarray, rows: np.ndarray, kept: int) -> np.ndarray:
+    """Per trial: do score columns ``[:kept]`` make up the top ``kept``?
+
+    The stable order ranks by score descending, NaN lowest, ties by
+    ascending row.  Columns ``[:kept]`` are exactly the top ``kept``
+    when their worst outranks the best of the rest under that order:
+    one min over ``kept`` columns and one max over the others per
+    trial, no sort.  ``rows`` (ascending within each of the two blocks)
+    maps score columns to table rows for the tie-break.
+    """
+    trials, n = scores.shape
+    if kept == n:
+        return np.ones(trials, dtype=bool)
+    worst = np.min(scores[:, :kept], axis=1)  # NaN when any member is NaN
+    best = np.fmax.reduce(scores[:, kept:], axis=1)  # NaN when all others are
+    worst[np.isnan(worst)] = -np.inf
+    best[np.isnan(best)] = -np.inf
+    unchanged = worst > best
+    tied = np.flatnonzero(worst == best)
+    if tied.size:
+        # worst member: the last (highest-row) member at the worst score;
+        # best other: the first (lowest-row) other at the best score
+        members = _nan_lowest(scores[tied, :kept]) == worst[tied, None]
+        last = kept - 1 - np.argmax(members[:, ::-1], axis=1)
+        others = _nan_lowest(scores[tied, kept:]) == best[tied, None]
+        first = kept + np.argmax(others, axis=1)
+        unchanged[tied] = rows[last] < rows[first]
+    return unchanged
+
+
 def run_attribute_kernel(
     payload: AttributeTrialPayload, trials: int, start: int = 0
 ) -> list[bool]:
     """Trials ``[start, start + trials)`` of
-    :func:`~repro.stability.per_attribute._attribute_trial`."""
+    :func:`~repro.stability.per_attribute._attribute_trial`.
+
+    A trial only asks whether the top-k *set* changed, so no trial is
+    sorted.  The rows whose ids are in ``baseline_top`` (the members)
+    are moved to the front once, and a trial's top set equals
+    ``baseline_top`` exactly when the table holds all of it, it has
+    ``kept = min(k, n)`` ids, and the worst member outranks the best
+    other row.  Why that is exact:
+
+    - *Scores.*  :func:`_jittered_scores` hoists out of the trial axis
+      only terms that do not vary by trial and keeps every element's
+      addition order, so each score is the scalar path's float.
+    - *Membership.*  The scalar top set is the first ``kept`` rows of
+      the stable order, a strict total order on (score descending,
+      NaN lowest, row ascending).  ``kept`` members form that prefix
+      iff each precedes every other row, iff the last member precedes
+      the first other row — one min and one max per trial
+      (:func:`_top_unchanged`).  Equal scores are settled by the same
+      row comparison the stable sort uses, so ties are decided, not
+      approximated.
+    - *Refusals.*  :func:`_require_nan_suffix` declines the batches in
+      which the scalar path raises instead of ranking.
+    """
     scorer = _require_plain_linear_scorer(payload.scorer)
     table = payload.table
     weights = scorer.weights
@@ -355,34 +463,44 @@ def run_attribute_kernel(
         deltas[t] = float(
             rng.uniform(-payload.epsilon, payload.epsilon) * payload.scale
         )
-    matrix = np.empty((len(weights), trials), dtype=np.float64)
-    for index, (attr, w) in enumerate(weights.items()):
-        if attr == payload.attribute:
-            matrix[index, :] = [w + float(delta) for delta in deltas]
-        else:
-            matrix[index, :] = w
+    varied = weights[payload.attribute] + deltas
+    # the scalar path's scorer rejects a non-finite or all-zero weight
+    # vector; decline so it still does
+    _require(np.isfinite(varied).all(), "a trial drew a non-finite weight")
+    others_zero = all(
+        w == 0.0 for attr, w in weights.items() if attr != payload.attribute
+    )
     _require(
-        not np.any(np.all(matrix == 0.0, axis=0)),
+        not (others_zero and np.any(varied == 0.0)),
         "a trial drew an all-zero weight vector",
     )
-    if payload.id_column is None:
-        # positional ids: every ranking's top-k id set is {1..min(k, n)},
-        # so the change flag is one table-independent set comparison
-        top = set(range(1, min(payload.k, n) + 1))
-        return [bool(top != set(payload.baseline_top))] * trials
-    ids = _unique_ids(table, payload.id_column)
-    columns, any_missing = _design_matrix(table, scorer)
-    scores = _accumulate_scores(columns, matrix, any_missing, scorer.missing_policy)
-    orders = _stable_orders(scores)
-    member = np.fromiter(
-        (value in payload.baseline_top for value in ids), dtype=bool, count=n
-    )
     kept = min(payload.k, n)
-    counts = member[orders[:kept, :]].sum(axis=0)
-    baseline_size = len(set(payload.baseline_top))
-    return [
-        bool(int(count) != kept or baseline_size != kept) for count in counts
-    ]
+    if payload.id_column is None:
+        # positional ids: every ranking's top-k id set is {1..kept}
+        top = frozenset(range(1, kept + 1))
+        rows = np.arange(n)
+    else:
+        ids = _unique_ids(table, payload.id_column)
+        member = np.fromiter(
+            map(payload.baseline_top.__contains__, ids), dtype=bool, count=n
+        )
+        rows = np.concatenate([np.flatnonzero(member), np.flatnonzero(~member)])
+    columns, any_missing = _design_matrix(table, scorer)
+    position = list(weights).index(payload.attribute)
+    scores = _jittered_scores(
+        [values[rows] for values in columns],
+        position,
+        list(weights.values()),
+        varied,
+    )
+    if scorer.missing_policy == "propagate":
+        scores[:, any_missing[rows]] = np.nan
+    _require_nan_suffix(scores, rows)
+    if payload.id_column is None:
+        return [top != payload.baseline_top] * trials
+    if int(member.sum()) != kept or len(payload.baseline_top) != kept:
+        return [True] * trials  # no ranking's top set can equal baseline_top
+    return [not same for same in _top_unchanged(scores, rows, kept).tolist()]
 
 
 # -- dispatch ------------------------------------------------------------------

@@ -31,16 +31,26 @@ function is not picklable, but cannot cross a process boundary.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from concurrent.futures import Executor
 from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 
+from repro.errors import StabilityError
+
 if TYPE_CHECKING:  # engine imports stability; keep the reverse static-only
     from repro.engine.backends import TrialBackend
 
-__all__ = ["trial_rng", "run_trials", "run_payload_trials", "backend_for"]
+__all__ = [
+    "trial_rng",
+    "run_trials",
+    "run_payload_trials",
+    "backend_for",
+    "checked_epsilon",
+    "checked_iterations",
+]
 
 T = TypeVar("T")
 
@@ -48,6 +58,28 @@ T = TypeVar("T")
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """An independent, deterministic generator for one Monte-Carlo trial."""
     return np.random.default_rng([seed, trial])
+
+
+def checked_epsilon(epsilon: float) -> float:
+    """``epsilon`` as a float; :class:`StabilityError` unless finite and >= 0.
+
+    NaN passes a bare ``epsilon < 0`` test, and an infinite magnitude
+    only fails deep inside the RNG or the ranking; both are the
+    caller's mistake and are reported as such.
+    """
+    value = float(epsilon)
+    if not math.isfinite(value) or value < 0.0:
+        raise StabilityError(
+            f"epsilon must be finite and non-negative, got {epsilon!r}"
+        )
+    return value
+
+
+def checked_iterations(iterations: int) -> int:
+    """Bisection steps; :class:`StabilityError` when negative."""
+    if iterations < 0:
+        raise StabilityError(f"iterations must be >= 0, got {iterations}")
+    return iterations
 
 
 def run_trials(

@@ -7,12 +7,13 @@ change that more-likely-than-not alters the top-k — so an analyst can
 read "the ranking survives a 40% change to GRE's weight but flips under
 a 6% change to PubCount's" directly off the detailed widget.
 
-The bisection probes run their trials through a module-level function
-over a plain payload, so the loop parallelizes on any
-:class:`~repro.engine.backends.TrialBackend` (threads or processes)
-with byte-identical results; the ``vectorized`` backend computes each
-probe's batch as one array program
-(:func:`repro.stability.kernels.run_attribute_kernel`).
+Each bisection probe (``iterations + 1`` per attribute) runs its trials
+through a module-level function over a plain picklable payload, so any
+:class:`~repro.engine.backends.TrialBackend` gives byte-identical
+results: ``serial`` runs the scalar trial (the oracle), ``vectorized``
+computes the probe's whole batch as one sort-free array program
+(:func:`repro.stability.kernels.run_attribute_kernel`), and ``remote``
+ships trial spans to cluster workers that run the same kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ import numpy as np
 from repro.errors import StabilityError
 from repro.ranking.ranker import rank_table
 from repro.ranking.scoring import LinearScoringFunction
-from repro.stability.montecarlo import backend_for, run_payload_trials, trial_rng
+from repro.stability.montecarlo import (
+    backend_for,
+    checked_iterations,
+    run_payload_trials,
+    trial_rng,
+)
 from repro.tabular.table import Table
 
 if TYPE_CHECKING:
@@ -165,6 +171,7 @@ def per_attribute_stability(
         raise StabilityError(f"trials must be >= 1, got {trials}")
     if not 0.0 < probability <= 1.0:
         raise StabilityError(f"probability must be in (0, 1], got {probability}")
+    checked_iterations(iterations)
     backend = backend_for(executor, backend)
     baseline = rank_table(table, scorer, id_column)
     baseline_top = frozenset(baseline.item_ids()[: min(k, baseline.size)])

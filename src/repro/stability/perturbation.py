@@ -30,7 +30,13 @@ from repro.errors import StabilityError
 from repro.ranking.compare import kendall_tau_ids, top_k_overlap_ids
 from repro.ranking.ranker import Ranking, rank_table
 from repro.ranking.scoring import LinearScoringFunction
-from repro.stability.montecarlo import backend_for, run_payload_trials, trial_rng
+from repro.stability.montecarlo import (
+    backend_for,
+    checked_epsilon,
+    checked_iterations,
+    run_payload_trials,
+    trial_rng,
+)
 from repro.tabular.table import Table
 
 if TYPE_CHECKING:
@@ -217,8 +223,7 @@ class WeightPerturbationStability:
 
     def assess_at(self, epsilon: float) -> PerturbationOutcome:
         """Run the Monte-Carlo loop at one perturbation magnitude."""
-        if epsilon < 0.0:
-            raise StabilityError(f"epsilon must be non-negative, got {epsilon}")
+        epsilon = checked_epsilon(epsilon)
         outcomes = run_payload_trials(
             _perturbation_trial, self._payload_at(epsilon), self._trials,
             self._backend,
@@ -261,6 +266,7 @@ class WeightPerturbationStability:
             )
         if not 0.0 <= lo < hi:
             raise StabilityError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+        checked_iterations(iterations)
         if self.assess_at(hi).change_probability < probability:
             return hi
         for _ in range(iterations):

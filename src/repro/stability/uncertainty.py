@@ -29,7 +29,13 @@ from repro.errors import StabilityError
 from repro.ranking.compare import kendall_tau_ids, top_k_overlap_ids
 from repro.ranking.ranker import Ranking, rank_table
 from repro.ranking.scoring import ScoringFunction
-from repro.stability.montecarlo import backend_for, run_payload_trials, trial_rng
+from repro.stability.montecarlo import (
+    backend_for,
+    checked_epsilon,
+    checked_iterations,
+    run_payload_trials,
+    trial_rng,
+)
 from repro.stability.perturbation import PerturbationOutcome
 from repro.tabular.column import NumericColumn
 from repro.tabular.table import Table
@@ -194,8 +200,7 @@ class DataUncertaintyStability:
 
     def assess_at(self, epsilon: float) -> PerturbationOutcome:
         """Run the Monte-Carlo loop at one noise magnitude."""
-        if epsilon < 0.0:
-            raise StabilityError(f"epsilon must be non-negative, got {epsilon}")
+        epsilon = checked_epsilon(epsilon)
         outcomes = run_payload_trials(
             _uncertainty_trial, self._payload_at(epsilon), self._trials,
             self._backend,
@@ -231,6 +236,7 @@ class DataUncertaintyStability:
             raise StabilityError(f"probability must be in (0, 1], got {probability}")
         if not 0.0 <= lo < hi:
             raise StabilityError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+        checked_iterations(iterations)
         if self.assess_at(hi).change_probability < probability:
             return hi
         for _ in range(iterations):

@@ -172,6 +172,20 @@ class TestSessionEndpoints:
             })
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.1], ids=str)
+    def test_non_finite_or_negative_epsilon_is_400(self, served, epsilon):
+        sessions = len(served.registry.tokens())
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(served, "/session", {
+                "dataset": "cs-departments",
+                "design": DESIGN | {
+                    "monte_carlo_trials": 3, "monte_carlo_epsilons": [epsilon],
+                },
+            })
+        assert excinfo.value.code == 400
+        assert "finite and non-negative" in json.loads(excinfo.value.read())["error"]
+        assert len(served.registry.tokens()) == sessions
+
     def test_close_session(self, served):
         _, reply = post(served, "/session", {"dataset": "cs-departments"})
         token = reply["token"]

@@ -51,6 +51,12 @@ class TestLabelDesign:
         with pytest.raises(EngineError, match="unknown design field"):
             LabelDesign.from_mapping(DESIGN_BODY | {"tpo_k": 3})
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.1], ids=str)
+    def test_from_mapping_rejects_bad_epsilons(self, epsilon):
+        body = DESIGN_BODY | {"monte_carlo_epsilons": [0.1, epsilon]}
+        with pytest.raises(EngineError, match="finite and non-negative"):
+            LabelDesign.from_mapping(body)
+
     def test_from_mapping_requires_weights(self):
         with pytest.raises(EngineError):
             LabelDesign.from_mapping({"sensitive": ["g"]})

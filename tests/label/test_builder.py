@@ -53,6 +53,9 @@ class TestConfiguration:
             builder.with_slope_threshold(-1.0)
         with pytest.raises(LabelError):
             builder.with_monte_carlo_stability(trials=0)
+        for epsilon in (float("nan"), float("inf"), float("-inf"), -0.1):
+            with pytest.raises(LabelError, match="finite and non-negative"):
+                builder.with_monte_carlo_stability(epsilons=(0.1, epsilon))
 
     def test_tiny_table_rejected(self):
         from repro.errors import EmptyTableError

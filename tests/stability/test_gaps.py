@@ -131,6 +131,8 @@ class TestPerAttributeStability:
             per_attribute_stability(table, scorer, "name", trials=0)
         with pytest.raises(StabilityError):
             per_attribute_stability(table, scorer, "name", probability=0.0)
+        with pytest.raises(StabilityError, match="iterations"):
+            per_attribute_stability(table, scorer, "name", iterations=-3)
 
     def test_deterministic(self, table):
         scorer = LinearScoringFunction({"a": 1.0, "b": 0.02})

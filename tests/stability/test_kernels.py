@@ -9,11 +9,17 @@ must be declined with a reason so the ``vectorized`` backend can fall
 back to the scalar path.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import synthetic_scores_table
 from repro.engine.backends import VectorizedTrialBackend
+from repro.errors import RankingError, RankingFactsError
+from repro.ranking.ranker import rank_table
 from repro.ranking.scoring import LinearScoringFunction, ScoringFunction
 from repro.stability import (
     DataUncertaintyStability,
@@ -27,7 +33,7 @@ from repro.stability.kernels import (
     run_perturbation_kernel,
     run_uncertainty_kernel,
 )
-from repro.stability.per_attribute import _attribute_trial
+from repro.stability.per_attribute import AttributeTrialPayload, _attribute_trial
 from repro.stability.perturbation import (
     PerturbationTrialPayload,
     _perturbation_trial,
@@ -205,9 +211,6 @@ class TestKernelsMatchScalarTrialFunctions:
         )
 
     def test_attribute_kernel_raw(self):
-        from repro.ranking.ranker import rank_table
-        from repro.stability.per_attribute import AttributeTrialPayload
-
         table = mc_table(n=40)
         scorer = LinearScoringFunction(WEIGHTS)
         baseline = rank_table(table, scorer, "item")
@@ -320,3 +323,129 @@ class TestFallbackDispatch:
         results, reason = dispatch_kernel(_perturbation_trial, doctored, 4)
         assert results is None
         assert "baseline" in reason
+
+
+# -- per-attribute kernel on tie-heavy data -----------------------------------
+
+# COMPAS-like small integers plus the values whose order is delicate
+_VALUES = [0.0, 1.0, 2.0, 3.0, -0.0, math.nan, math.inf, -math.inf]
+_ATTRIBUTES = ("a", "b", "c")
+
+
+@st.composite
+def attribute_payloads(draw):
+    """A single-weight-jitter payload over a table full of duplicate rows."""
+    pool = draw(
+        st.lists(
+            st.tuples(*[st.sampled_from(_VALUES) for _ in _ATTRIBUTES]),
+            min_size=1, max_size=4,
+        )
+    )
+    n = draw(st.integers(1, 12))
+    rows = [draw(st.sampled_from(pool)) for _ in range(n)]
+    columns = {a: [row[i] for row in rows] for i, a in enumerate(_ATTRIBUTES)}
+    table = Table.from_dict({"name": [f"i{j}" for j in range(n)], **columns})
+    weights = {
+        a: draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5])) for a in _ATTRIBUTES
+    }
+    if all(w == 0.0 for w in weights.values()):
+        weights["c"] = 1.0
+    scorer = LinearScoringFunction(
+        weights, missing_policy=draw(st.sampled_from(["zero", "propagate"]))
+    )
+    attribute = draw(st.sampled_from(_ATTRIBUTES))  # first, middle, last
+    weight = weights[attribute]
+    scale = abs(weight) if weight != 0.0 else float(
+        np.mean([abs(w) for w in weights.values()])
+    )
+    k = draw(st.sampled_from([1, max(1, n - 1), n, n + 5, draw(st.integers(1, n))]))
+    id_column = draw(st.sampled_from(["name", "name", None]))
+    try:
+        own = rank_table(table, scorer, id_column).item_ids()[:k]
+    except RankingFactsError:  # the baseline itself is unrankable
+        own = [f"i{j}" for j in range(min(k, n))]
+    kind = draw(
+        st.sampled_from(["own", "own", "foreign", "short", "long", "other", "other"])
+    )
+    if kind == "foreign":
+        baseline_top = frozenset(own[1:]) | {"foreign"}
+    elif kind == "short":
+        baseline_top = frozenset(own[1:])
+    elif kind == "long":
+        baseline_top = frozenset(own) | {"foreign"}
+    elif kind == "other":
+        ids = [f"i{j}" for j in range(n)] if id_column else list(range(1, n + 1))
+        baseline_top = frozenset(draw(st.permutations(ids))[: min(k, n)])
+    else:
+        baseline_top = frozenset(own)
+    return AttributeTrialPayload(
+        table=table,
+        scorer=scorer,
+        attribute=attribute,
+        epsilon=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])),
+        scale=scale,
+        id_column=id_column,
+        baseline_top=baseline_top,
+        k=k,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestAttributeKernelExactOnTies:
+    """The sort-free top-set test == the scalar trial, ties and all."""
+
+    @given(
+        payload=attribute_payloads(),
+        trials=st.integers(1, 10),
+        start=st.integers(0, 40),
+    )
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_kernel_equals_scalar_trials(self, payload, trials, start):
+        try:
+            expected = [
+                _attribute_trial(payload, t) for t in range(start, start + trials)
+            ]
+        except RankingFactsError:
+            # the scalar path refuses (all-zero weights, NaN above -inf):
+            # the kernel must decline, never answer
+            results, reason = dispatch_kernel(
+                _attribute_trial, payload, trials, start
+            )
+            assert results is None and reason
+            return
+        assert run_attribute_kernel(payload, trials, start) == expected
+
+    def test_boundary_tie_broken_by_row(self):
+        """Identical rows straddle the cutoff: row order decides membership."""
+        table = Table.from_dict(
+            {"name": ["p", "q", "r", "s"], "a": [1.0, 2.0, 2.0, 2.0]}
+        )
+        scorer = LinearScoringFunction({"a": 1.0})
+        for top, changed in ((frozenset({"q", "r"}), False),
+                             (frozenset({"r", "s"}), True)):
+            payload = AttributeTrialPayload(
+                table=table, scorer=scorer, attribute="a", epsilon=0.5,
+                scale=1.0, id_column="name", baseline_top=top, k=2, seed=3,
+            )
+            assert run_attribute_kernel(payload, 5, 7) == [changed] * 5
+            assert scalar_batch(_attribute_trial, payload, 12)[7:] == [changed] * 5
+
+    def test_nan_above_negative_infinity_is_declined(self):
+        table = Table.from_dict(
+            {"name": ["p", "q", "r"], "a": [math.nan, 1.0, -math.inf]}
+        )
+        payload = AttributeTrialPayload(
+            table=table,
+            scorer=LinearScoringFunction({"a": 1.0}, missing_policy="propagate"),
+            attribute="a", epsilon=0.1, scale=1.0, id_column="name",
+            baseline_top=frozenset({"q"}), k=1, seed=0,
+        )
+        with pytest.raises(RankingError, match="suffix"):
+            _attribute_trial(payload, 0)
+        results, reason = dispatch_kernel(_attribute_trial, payload, 3)
+        assert results is None
+        assert "NaN" in reason

@@ -38,6 +38,7 @@ def tight_table(n=20, seed=5):
 
 
 SCORER = LinearScoringFunction({"a": 0.5, "b": 0.5})
+BAD_EPSILONS = [float("nan"), float("inf"), float("-inf"), -0.1]
 
 
 class TestWeightPerturbation:
@@ -156,3 +157,28 @@ class TestDataUncertainty:
             tight_table(), SCORER, "name", trials=10
         ).minimal_change_epsilon(iterations=5)
         assert 0.0 <= eps < 1.0
+
+
+@pytest.mark.parametrize(
+    "estimator", [WeightPerturbationStability, DataUncertaintyStability]
+)
+class TestEpsilonAndIterationValidation:
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS, ids=str)
+    def test_non_finite_or_negative_epsilon_rejected(self, estimator, epsilon):
+        est = estimator(gapped_table(), SCORER, "name", trials=3)
+        with pytest.raises(StabilityError, match="finite and non-negative"):
+            est.assess_at(epsilon)
+
+    def test_infinite_search_ceiling_rejected(self, estimator):
+        est = estimator(gapped_table(), SCORER, "name", trials=3)
+        with pytest.raises(StabilityError, match="finite"):
+            est.minimal_change_epsilon(hi=float("inf"))
+
+    def test_negative_iterations_rejected(self, estimator):
+        est = estimator(gapped_table(), SCORER, "name", trials=3)
+        with pytest.raises(StabilityError, match="iterations"):
+            est.minimal_change_epsilon(iterations=-2)
+
+    def test_zero_iterations_checks_only_the_ceiling(self, estimator):
+        est = estimator(tight_table(), SCORER, "name", trials=5)
+        assert est.minimal_change_epsilon(iterations=0) == 1.0
